@@ -129,6 +129,10 @@ double dist_sweep_s(unsigned len, std::size_t workers, double fault_loss,
     }
     daemons.push_back(
         std::make_unique<dist::WorkerDaemon>(worker_side, wcfg));
+  }
+  // Threads start only once the vector is complete, so no push_back
+  // can reallocate it under a running thread.
+  for (std::size_t i = 0; i < workers; ++i) {
     threads.emplace_back(
         [&, i] { daemons[i]->run(coordinator.address()); });
   }

@@ -1,8 +1,9 @@
 #include "core/multi_sweep.h"
 
 #include <algorithm>
+#include <map>
 #include <set>
-#include <type_traits>
+#include <span>
 
 #include "hash/kernel_words.h"
 #include "hash/md5.h"
@@ -34,13 +35,60 @@ struct MultiSweeper::Parsed {
   std::size_t unique_count() const { return request_slots.size(); }
 };
 
-/// An immutable view of the target set plus the fast-path contexts
-/// built for it. Scans pin one snapshot for their whole interval.
-/// Context slot numbers equal unique-digest indices: the digest
-/// vectors keep holes for dead targets, and `retired` lists the slots
-/// already detached from the contexts' TargetIndexes. Recoveries and
-/// removals never touch a published snapshot — they flip sweeper-side
-/// flags — so snapshots stay truly immutable and mark_found is O(1).
+namespace {
+
+/// A table built at most once, by the first thread that asks for it.
+/// Threads asking while that build runs wait for it (std::call_once)
+/// instead of building a copy to throw away; a build that throws leaves
+/// the slot empty for the next asker.
+template <class T>
+class SingleFlight {
+ public:
+  template <class Build>
+  const std::shared_ptr<const T>& get(const Build& build) const {
+    std::call_once(once_, [&] {
+      value_ = build();
+      ready_.store(true, std::memory_order_release);
+    });
+    return value_;
+  }
+
+  /// Installs a table derived from a predecessor snapshot's.
+  void set(std::shared_ptr<const T> value) const {
+    get([&] { return std::move(value); });
+  }
+
+  /// The table if it is built, else null. Never builds or waits.
+  std::shared_ptr<const T> peek() const {
+    return ready_.load(std::memory_order_acquire) ? value_ : nullptr;
+  }
+
+ private:
+  mutable std::once_flag once_;
+  mutable std::shared_ptr<const T> value_;
+  mutable std::atomic<bool> ready_{false};
+};
+
+/// (key length, fixed tail): the chunks that share one MD5 context.
+using TailKey = std::pair<std::size_t, std::string>;
+
+/// A copy of `built` with `change` applied.
+template <class T, class Change>
+std::shared_ptr<const T> changed_copy(const T& built, const Change& change) {
+  auto copy = std::make_shared<T>(built);
+  change(*copy);
+  return copy;
+}
+
+}  // namespace
+
+/// An immutable view of the target set plus the fast-path tables built
+/// for it. Scans pin one snapshot for their whole interval. Table slot
+/// numbers equal unique-digest indices: the digest vectors keep holes
+/// for dead targets, and `retired` lists the slots already detached
+/// from the tables' TargetIndexes. Recoveries and removals never touch
+/// a published snapshot — they flip sweeper-side flags — so snapshots
+/// stay truly immutable and mark_found is O(1).
 struct MultiSweeper::Snapshot {
   std::uint64_t generation = 0;
   std::vector<hash::Md5Digest> md5;
@@ -48,19 +96,39 @@ struct MultiSweeper::Snapshot {
   /// live[u] == 0 skips u on the generic (non-fast-path) scan; the
   /// fast path relies on `retired` instead.
   std::vector<std::uint8_t> live;
-  /// Unique indices retired from the context indexes, ascending.
+  /// Unique indices retired from the table indexes, ascending.
   std::vector<std::uint32_t> retired;
 
-  /// Fast-path contexts keyed by (key length, fixed tail), built on
-  /// demand under the lock — one sorted TargetIndex per tail, shared
-  /// by every worker that scans chunks with that tail.
-  mutable std::shared_mutex mu;
-  mutable std::map<std::pair<std::size_t, std::string>,
-                   std::unique_ptr<hash::Md5MultiContext>>
-      md5_ctx;
-  mutable std::map<std::pair<std::size_t, std::string>,
-                   std::unique_ptr<hash::Sha1MultiContext>>
-      sha1_ctx;
+  /// MD5 contexts keyed by (key length, fixed tail): MD5's 15-step
+  /// reversal runs through the tail's message words, so every tail
+  /// needs its own. `mu` guards the map's shape, not the entries.
+  mutable std::mutex mu;
+  mutable std::map<TailKey, SingleFlight<hash::Md5MultiContext>> md5_ctx;
+  /// The one SHA1 table every tail's view shares: undoing SHA1's
+  /// feed-forward needs no message words.
+  SingleFlight<hash::Sha1TargetTable> sha1_table;
+
+  /// Hands the tables built so far to `next`, each copied and changed
+  /// (compaction retires slots, add_targets appends digests). Tables
+  /// not built yet stay unbuilt; `next` builds them on first use.
+  template <class Md5Change, class Sha1Change>
+  void carry_over(const Snapshot& next, const Md5Change& md5_change,
+                  const Sha1Change& sha1_change) const {
+    using Built = std::shared_ptr<const hash::Md5MultiContext>;
+    std::vector<std::pair<TailKey, Built>> built;
+    {
+      std::lock_guard lock(mu);
+      for (const auto& [key, entry] : md5_ctx) {
+        if (auto ctx = entry.peek()) built.emplace_back(key, std::move(ctx));
+      }
+    }
+    for (const auto& [key, ctx] : built) {
+      next.md5_ctx[key].set(changed_copy(*ctx, md5_change));
+    }
+    if (const auto table = sha1_table.peek()) {
+      next.sha1_table.set(changed_copy(*table, sha1_change));
+    }
+  }
 };
 
 namespace {
@@ -168,119 +236,98 @@ void for_each_chunk(const MultiCrackRequest& request,
   }
 }
 
-/// Builds one fast-path context: full unique-digest vector (slot ==
-/// unique index), then detaches the retired slots from its index.
-template <class Ctx, class Targets>
-std::unique_ptr<Ctx> make_context(const Targets& targets,
-                                  const std::vector<std::uint32_t>& retired,
-                                  const std::string& tail,
-                                  std::size_t total_len,
-                                  const hash::TargetIndex::Config& cfg) {
-  auto ctx = std::make_unique<Ctx>(targets, tail, total_len, cfg);
-  if (!retired.empty()) ctx->retire_slots(retired);
-  return ctx;
+/// Builds one fast-path table over the full unique-digest vector (slot
+/// == unique index), then detaches the retired slots from its index.
+template <class T, class... Args>
+std::shared_ptr<const T> build_detached(
+    const std::vector<std::uint32_t>& retired, Args&&... args) {
+  auto built = std::make_shared<T>(std::forward<Args>(args)...);
+  if (!retired.empty()) built->retire_slots(retired);
+  return built;
 }
 
-/// Picks the fast-path engine — scalar multi scan or one of the lane
-/// widths — by timing each over a short probe of the request's own
-/// keyspace. Returns nullptr for the scalar engine (also when lane
-/// scanning is disabled or the fast path never applies).
-const hash::simd::ScanKernels* calibrate_multi_kernels(
-    const MultiCrackRequest& request,
-    const std::vector<hash::Md5Digest>& md5,
-    const std::vector<hash::Sha1Digest>& sha1,
-    const hash::TargetIndex::Config& index_cfg) {
-  if (!request.lane_scanning) return nullptr;
+/// The calibration probe's place in the keyspace: the first length the
+/// fast path covers, its all-first-character key, and that key's tail.
+struct CalibrationProbe {
+  std::size_t key_len = 0;  ///< 0: the fast path never applies
+  std::string tail;
+  std::size_t total_len = 0;
+};
 
-  std::size_t key_len = 0;
+CalibrationProbe calibration_probe(const MultiCrackRequest& request) {
+  CalibrationProbe probe;
+  if (!request.lane_scanning) return probe;
   for (std::size_t len = request.min_length; len <= request.max_length;
        ++len) {
     if (fast_path_applicable(request, len)) {
-      key_len = len;
+      probe.key_len = len;
       break;
     }
   }
-  if (key_len == 0) return nullptr;
+  if (probe.key_len == 0) return probe;
+  probe.tail = chunk_tail(
+      request, std::string(probe.key_len, request.charset.chars()[0]));
+  probe.total_len = probe.key_len + request.salt.extra_length();
+  return probe;
+}
 
-  const auto prefix_chars =
-      static_cast<unsigned>(std::min<std::size_t>(4, key_len));
-  const std::string probe_key(key_len, request.charset.chars()[0]);
-  std::string tail = key_len > 4 ? probe_key.substr(4) : std::string();
-  if (request.salt.position == hash::SaltPosition::kSuffix) {
-    tail += request.salt.salt;
+/// One fast-path scan on `kernels`, or on the scalar engine when null.
+void multi_scan(const hash::simd::ScanKernels* kernels,
+                const hash::Md5MultiContext& ctx, hash::PrefixWord0Iterator& it,
+                std::uint64_t n, std::vector<hash::MultiHit>& out) {
+  if (kernels != nullptr) {
+    kernels->md5_multi_scan(ctx, it, n, out);
+  } else {
+    hash::md5_multi_scan_prefixes(ctx, it, n, out);
   }
-  const std::size_t total_len = key_len + request.salt.extra_length();
+}
+
+void multi_scan(const hash::simd::ScanKernels* kernels,
+                const hash::Sha1MultiContext& ctx,
+                hash::PrefixWord0Iterator& it, std::uint64_t n,
+                std::vector<hash::MultiHit>& out) {
+  if (kernels != nullptr) {
+    kernels->sha1_multi_scan(ctx, it, n, out);
+  } else {
+    hash::sha1_multi_scan_prefixes(ctx, it, n, out);
+  }
+}
+
+/// Picks the fast-path engine — scalar multi scan or one of the lane
+/// widths — by timing each over a short probe of `ctx`, the table of
+/// the probe's tail. Returns nullptr for the scalar engine.
+template <class Ctx>
+const hash::simd::ScanKernels* pick_fastest(const MultiCrackRequest& request,
+                                            const CalibrationProbe& probe,
+                                            const Ctx& ctx) {
+  const auto prefix_chars =
+      static_cast<unsigned>(std::min<std::size_t>(4, probe.key_len));
   const bool big_endian = request.algorithm == hash::Algorithm::kSha1;
   const hash::PrefixWord0Iterator start(request.charset.chars(), prefix_chars,
-                                        key_len, big_endian);
+                                        probe.key_len, big_endian);
 
   constexpr std::uint64_t kWarmup = 1024;
   constexpr std::uint64_t kProbe = 8192;
   std::vector<hash::MultiHit> scratch;
-  const auto measure = [&](const auto& scan) {
+  const auto measure = [&](const hash::simd::ScanKernels* kernels) {
     auto it = start;
     scratch.clear();
-    scan(it, kWarmup);
+    multi_scan(kernels, ctx, it, kWarmup, scratch);
     Stopwatch timer;
-    scan(it, kProbe);
+    multi_scan(kernels, ctx, it, kProbe, scratch);
     return timer.seconds();
   };
 
   const hash::simd::ScanKernels* winner = nullptr;
-  double best = 0;
-  if (request.algorithm == hash::Algorithm::kMd5) {
-    const hash::Md5MultiContext ctx(md5, tail, total_len, index_cfg);
-    best = measure([&](hash::PrefixWord0Iterator& it, std::uint64_t n) {
-      hash::md5_multi_scan_prefixes(ctx, it, n, scratch);
-    });
-    for (const auto& k : hash::simd::available_kernels()) {
-      const double t =
-          measure([&](hash::PrefixWord0Iterator& it, std::uint64_t n) {
-            k.md5_multi_scan(ctx, it, n, scratch);
-          });
-      if (t < best) {
-        best = t;
-        winner = &k;
-      }
-    }
-  } else {
-    const hash::Sha1MultiContext ctx(sha1, tail, total_len, index_cfg);
-    best = measure([&](hash::PrefixWord0Iterator& it, std::uint64_t n) {
-      hash::sha1_multi_scan_prefixes(ctx, it, n, scratch);
-    });
-    for (const auto& k : hash::simd::available_kernels()) {
-      const double t =
-          measure([&](hash::PrefixWord0Iterator& it, std::uint64_t n) {
-            k.sha1_multi_scan(ctx, it, n, scratch);
-          });
-      if (t < best) {
-        best = t;
-        winner = &k;
-      }
+  double best = measure(nullptr);
+  for (const auto& k : hash::simd::available_kernels()) {
+    const double t = measure(&k);
+    if (t < best) {
+      best = t;
+      winner = &k;
     }
   }
   return winner;
-}
-
-/// Looks up (or builds) the fast-path context for one (length, tail)
-/// in a snapshot's cache. Builds happen outside the exclusive lock;
-/// when two workers race on the same tail, the loser's build is
-/// discarded — rare (once per tail per snapshot) and cheaper than
-/// serializing every build behind the lock.
-template <class CtxMap, class Builder>
-const typename CtxMap::mapped_type::element_type& snapshot_context(
-    std::shared_mutex& mu, CtxMap& cache,
-    const std::pair<std::size_t, std::string>& key, const Builder& build) {
-  {
-    std::shared_lock lock(mu);
-    const auto it = cache.find(key);
-    if (it != cache.end() && it->second != nullptr) return *it->second;
-  }
-  auto fresh = build();
-  std::unique_lock lock(mu);
-  auto& slot = cache[key];
-  if (slot == nullptr) slot = std::move(fresh);
-  return *slot;
 }
 
 }  // namespace
@@ -336,8 +383,8 @@ hash::TargetIndex::Config MultiSweeper::index_config() const {
   return cfg;
 }
 
-std::shared_ptr<const MultiSweeper::Snapshot>
-MultiSweeper::build_snapshot_locked() const {
+std::shared_ptr<MultiSweeper::Snapshot> MultiSweeper::build_snapshot_locked()
+    const {
   auto snap = std::make_shared<Snapshot>();
   snap->generation = generation_.load(std::memory_order_relaxed);
   snap->md5 = parsed_->md5;
@@ -357,16 +404,57 @@ std::shared_ptr<const MultiSweeper::Snapshot> MultiSweeper::snapshot() const {
   return snap_;
 }
 
+const hash::Md5MultiContext& MultiSweeper::md5_context(
+    const Snapshot& snap, const TailKey& tail_key) const {
+  const SingleFlight<hash::Md5MultiContext>* entry;
+  {
+    std::lock_guard lock(snap.mu);
+    entry = &snap.md5_ctx[tail_key];
+  }
+  // Map nodes never move, and only prepare() erases them (never
+  // concurrently with scans), so the entry outlives the lock.
+  return *entry->get([&] {
+    table_builds_.fetch_add(1, std::memory_order_relaxed);
+    const auto& [key_len, tail] = tail_key;
+    return build_detached<hash::Md5MultiContext>(
+        snap.retired, snap.md5, tail, key_len + request_.salt.extra_length(),
+        index_config());
+  });
+}
+
+const std::shared_ptr<const hash::Sha1TargetTable>& MultiSweeper::sha1_table(
+    const Snapshot& snap) const {
+  return snap.sha1_table.get([&] {
+    table_builds_.fetch_add(1, std::memory_order_relaxed);
+    return build_detached<hash::Sha1TargetTable>(snap.retired, snap.sha1,
+                                                 index_config());
+  });
+}
+
 void MultiSweeper::calibrate() const {
   std::call_once(calibrate_once_, [this] {
-    // Calibration probes the snapshot's digest vectors (immutable) so
-    // a concurrent add_targets cannot reallocate under it; the gate
-    // config matches production, minus the stats sink, so the probe
-    // does not pollute the measured traffic.
-    const std::shared_ptr<const Snapshot> snap = snapshot();
-    auto cfg = index_config();
-    cfg.stats = nullptr;
-    kernels_ = calibrate_multi_kernels(request_, snap->md5, snap->sha1, cfg);
+    // The probe scans the table its tail's chunks will scan with, so
+    // the table is built here, once, and not again by the first scan.
+    // Every scan waits for calibration, so no job traffic runs while
+    // the probe's gate passes are taken back out of the stats.
+    const CalibrationProbe probe = calibration_probe(request_);
+    if (probe.key_len != 0) {
+      const SweepFilterStats before = filter_stats();
+      const std::shared_ptr<const Snapshot> snap = snapshot();
+      if (request_.algorithm == hash::Algorithm::kMd5) {
+        kernels_ = pick_fastest(
+            request_, probe, md5_context(*snap, {probe.key_len, probe.tail}));
+      } else {
+        kernels_ = pick_fastest(
+            request_, probe,
+            hash::Sha1MultiContext::view(sha1_table(*snap), probe.tail,
+                                         probe.total_len));
+      }
+      index_stats_.gate_hits.store(before.gate_hits,
+                                   std::memory_order_relaxed);
+      index_stats_.false_positives.store(before.false_positives,
+                                         std::memory_order_relaxed);
+    }
     if (obs::enabled()) {
       obs::Registry::global().counter("gks_kernel_calibrations_total")
           .add(1);
@@ -414,8 +502,7 @@ u128 MultiSweeper::scan(const keyspace::Interval& interval,
         if (fast_path_applicable(request_, key_len)) {
           const auto prefix_chars =
               static_cast<unsigned>(std::min<std::size_t>(4, key_len));
-          const auto cache_key =
-              std::make_pair(key_len, chunk_tail(request_, first_key));
+          const std::string tail = chunk_tail(request_, first_key);
           const std::size_t total_len =
               key_len + request_.salt.extra_length();
 
@@ -433,29 +520,13 @@ u128 MultiSweeper::scan(const keyspace::Interval& interval,
           const std::uint64_t n = count.to_u64();
           std::vector<hash::MultiHit> found;
           if (request_.algorithm == hash::Algorithm::kMd5) {
-            const auto& multi = snapshot_context(
-                snap->mu, snap->md5_ctx, cache_key, [&] {
-                  return make_context<hash::Md5MultiContext>(
-                      snap->md5, snap->retired, cache_key.second, total_len,
-                      index_config());
-                });
-            if (kernels_ != nullptr) {
-              kernels_->md5_multi_scan(multi, it, n, found);
-            } else {
-              hash::md5_multi_scan_prefixes(multi, it, n, found);
-            }
+            multi_scan(kernels_, md5_context(*snap, {key_len, tail}), it, n,
+                       found);
           } else {
-            const auto& multi = snapshot_context(
-                snap->mu, snap->sha1_ctx, cache_key, [&] {
-                  return make_context<hash::Sha1MultiContext>(
-                      snap->sha1, snap->retired, cache_key.second, total_len,
-                      index_config());
-                });
-            if (kernels_ != nullptr) {
-              kernels_->sha1_multi_scan(multi, it, n, found);
-            } else {
-              hash::sha1_multi_scan_prefixes(multi, it, n, found);
-            }
+            multi_scan(kernels_,
+                       hash::Sha1MultiContext::view(sha1_table(*snap), tail,
+                                                    total_len),
+                       it, n, found);
           }
           // Context slots ARE unique indices; targets found or removed
           // after this snapshot was published may still surface here
@@ -515,7 +586,7 @@ void MultiSweeper::prepare(const keyspace::Interval& round,
   const std::shared_ptr<const Snapshot> snap = snapshot();
   if (all_found()) return;
 
-  std::set<std::pair<std::size_t, std::string>> needed;
+  std::set<TailKey> needed;
   for_each_chunk(request_, codec_, offset_, round,
                  [&](u128 /*id*/, u128 /*count*/, const std::string& key) {
                    if (fast_path_applicable(request_, key.size())) {
@@ -524,38 +595,27 @@ void MultiSweeper::prepare(const keyspace::Interval& round,
                    }
                    return true;
                  });
-
-  const auto sync = [&](auto& cache, const auto& targets) {
-    std::unique_lock lock(snap->mu);
-    // Entries the round does not touch are evicted first, keeping
-    // memory bounded by one round's tail count when the tail space is
-    // genuinely large; a fixed-length sweep cycles through the same
-    // tails every round and finds everything already built.
-    std::erase_if(cache,
-                  [&](const auto& e) { return needed.count(e.first) == 0; });
-    std::vector<typename std::decay_t<decltype(cache)>::iterator> fresh;
-    for (const auto& k : needed) {
-      const auto [it, inserted] = cache.emplace(k, nullptr);
-      if (inserted) fresh.push_back(it);
-    }
-    lock.unlock();
-    // Distinct map elements are written concurrently — safe, and the
-    // sort behind each TargetIndex is exactly the work worth fanning
-    // out at audit-scale target counts.
-    pool.parallel_for(fresh.size(), [&](std::size_t i) {
-      const auto& [key_len, tail] = fresh[i]->first;
-      using Ctx =
-          typename std::decay_t<decltype(cache)>::mapped_type::element_type;
-      fresh[i]->second = make_context<Ctx>(
-          targets, snap->retired, tail,
-          key_len + request_.salt.extra_length(), index_config());
-    });
-  };
-  if (request_.algorithm == hash::Algorithm::kMd5) {
-    sync(snap->md5_ctx, snap->md5);
-  } else {
-    sync(snap->sha1_ctx, snap->sha1);
+  if (needed.empty()) return;
+  if (request_.algorithm == hash::Algorithm::kSha1) {
+    sha1_table(*snap);  // one table serves every tail of the round
+    return;
   }
+
+  // Entries the round does not touch are evicted first, keeping memory
+  // bounded by one round's tail count when the tail space is genuinely
+  // large; a fixed-length sweep cycles through the same tails every
+  // round and finds everything already built.
+  {
+    std::lock_guard lock(snap->mu);
+    std::erase_if(snap->md5_ctx,
+                  [&](const auto& e) { return needed.count(e.first) == 0; });
+  }
+  // Distinct tails build concurrently — the reversal and sort behind
+  // each context are exactly the work worth fanning out at audit-scale
+  // target counts.
+  const std::vector<TailKey> tails(needed.begin(), needed.end());
+  pool.parallel_for(tails.size(),
+                    [&](std::size_t i) { md5_context(*snap, tails[i]); });
 }
 
 void MultiSweeper::maybe_compact_locked() {
@@ -564,41 +624,18 @@ void MultiSweeper::maybe_compact_locked() {
   const std::size_t in_index = parsed_->unique_count() - already_retired;
   if (newly_dead < kCompactMin || newly_dead * 2 < in_index) return;
 
-  const auto gen = generation_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  auto next = std::make_shared<Snapshot>();
-  next->generation = gen;
-  next->md5 = parsed_->md5;
-  next->sha1 = parsed_->sha1;
-  next->live.assign(parsed_->unique_count(), 1);
+  generation_.fetch_add(1, std::memory_order_acq_rel);
+  const std::shared_ptr<Snapshot> next = build_snapshot_locked();
   std::vector<std::uint32_t> newly_retired;
-  for (std::size_t u = 0; u < parsed_->unique_count(); ++u) {
-    if (unique_found_[u] || unique_removed_[u]) {
-      next->live[u] = 0;
-      next->retired.push_back(static_cast<std::uint32_t>(u));
-    }
-  }
   std::set_difference(next->retired.begin(), next->retired.end(),
                       snap_->retired.begin(), snap_->retired.end(),
                       std::back_inserter(newly_retired));
 
-  // Carry the built contexts over, minus the newly dead slots — an
+  // Carry the built tables over, minus the newly dead slots — an
   // O(live) clone instead of the full revert+sort rebuild.
-  {
-    std::shared_lock lock(snap_->mu);
-    for (const auto& [key, ctx] : snap_->md5_ctx) {
-      if (ctx == nullptr) continue;
-      auto clone = std::make_unique<hash::Md5MultiContext>(*ctx);
-      clone->retire_slots(newly_retired);
-      next->md5_ctx.emplace(key, std::move(clone));
-    }
-    for (const auto& [key, ctx] : snap_->sha1_ctx) {
-      if (ctx == nullptr) continue;
-      auto clone = std::make_unique<hash::Sha1MultiContext>(*ctx);
-      clone->retire_slots(newly_retired);
-      next->sha1_ctx.emplace(key, std::move(clone));
-    }
-  }
-  snap_ = std::move(next);
+  const auto retire = [&](auto& built) { built.retire_slots(newly_retired); };
+  snap_->carry_over(*next, retire, retire);
+  snap_ = next;
 }
 
 std::vector<std::size_t> MultiSweeper::mark_found(std::size_t unique_index,
@@ -722,48 +759,30 @@ TargetAddOutcome MultiSweeper::add_targets(
     return out;
   }
 
-  const auto gen = generation_.fetch_add(1, std::memory_order_acq_rel) + 1;
+  generation_.fetch_add(1, std::memory_order_acq_rel);
+  // build_snapshot_locked reads generation_ — already bumped.
+  const std::shared_ptr<Snapshot> next = build_snapshot_locked();
   if (need_full_rebuild) {
-    // build_snapshot_locked reads generation_ — already bumped.
-    snap_ = build_snapshot_locked();
+    snap_ = next;
     return out;
   }
 
-  // Incremental publish: clone the cached contexts and extend them
-  // with the new digests — the appended slots continue the unique
-  // numbering, so no context rebuild and no renumbering.
-  auto next = std::make_shared<Snapshot>();
-  next->generation = gen;
-  next->md5 = parsed_->md5;
-  next->sha1 = parsed_->sha1;
-  next->live.assign(parsed_->unique_count(), 1);
-  for (std::size_t u = 0; u < parsed_->unique_count(); ++u) {
-    if (unique_found_[u] || unique_removed_[u]) next->live[u] = 0;
-  }
+  // Incremental publish: the built tables are copied and extended with
+  // the new digests — the appended slots continue the unique numbering,
+  // so no rebuild and no renumbering. They retire exactly what the
+  // current snapshot's tables did.
   next->retired = snap_->retired;
-  {
-    std::shared_lock lock(snap_->mu);
-    if (request_.algorithm == hash::Algorithm::kMd5) {
-      const std::span<const hash::Md5Digest> fresh(
-          parsed_->md5.data() + first_new_unique, new_uniques);
-      for (const auto& [key, ctx] : snap_->md5_ctx) {
-        if (ctx == nullptr) continue;
-        auto clone = std::make_unique<hash::Md5MultiContext>(*ctx);
-        clone->add_targets(fresh);
-        next->md5_ctx.emplace(key, std::move(clone));
-      }
-    } else {
-      const std::span<const hash::Sha1Digest> fresh(
-          parsed_->sha1.data() + first_new_unique, new_uniques);
-      for (const auto& [key, ctx] : snap_->sha1_ctx) {
-        if (ctx == nullptr) continue;
-        auto clone = std::make_unique<hash::Sha1MultiContext>(*ctx);
-        clone->add_targets(fresh);
-        next->sha1_ctx.emplace(key, std::move(clone));
-      }
-    }
-  }
-  snap_ = std::move(next);
+  const auto appended = [&](const auto& digests) {
+    return std::span(digests).subspan(
+        std::min(first_new_unique, digests.size()));
+  };
+  snap_->carry_over(
+      *next,
+      [&](hash::Md5MultiContext& c) { c.add_targets(appended(parsed_->md5)); },
+      [&](hash::Sha1TargetTable& t) {
+        t.add_targets(appended(parsed_->sha1));
+      });
+  snap_ = next;
   return out;
 }
 

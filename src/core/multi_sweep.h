@@ -3,10 +3,8 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -71,17 +69,21 @@ struct TargetAddOutcome {
 ///
 /// Thread model: scan() is const and safe to call concurrently from
 /// many workers — each call pins an immutable snapshot of the target
-/// set (per-snapshot fast-path context caches are built on demand
-/// under a shared_mutex). Context slot numbers ARE unique-digest
+/// set. A snapshot builds its fast-path tables on demand, each exactly
+/// once: the first worker to need one builds it while the others wait.
+/// SHA1 has one target table per snapshot, shared by every tail
+/// (scan() wraps it in a per-chunk view holding the tail's message
+/// words); MD5 has one context per (length, tail), because its
+/// reversal runs through the tail. Table slot numbers ARE unique-digest
 /// indices: recoveries and removals only flip flags and never renumber
-/// or rebuild contexts, so mark_found costs O(1) even at millions of
+/// or rebuild tables, so mark_found costs O(1) even at millions of
 /// targets. Once enough targets are dead the sweeper compacts — it
-/// clones the cached contexts minus the dead slots and publishes them
-/// as a new generation. Scans still on an old snapshot at worst
-/// re-report an already-found (or removed) digest, which mark_found
-/// filters. prepare() is the one exception: it prunes cache entries,
-/// so it must not overlap scan() calls (multi_crack alternates
-/// prepare/scan phases; the job service never calls it).
+/// clones the built tables minus the dead slots and publishes them as
+/// a new generation. Scans still on an old snapshot at worst re-report
+/// an already-found (or removed) digest, which mark_found filters.
+/// prepare() is the one exception: it prunes MD5 cache entries, so it
+/// must not overlap scan() calls (multi_crack alternates prepare/scan
+/// phases; the job service never calls it).
 class MultiSweeper {
  public:
   /// Validates the request and parses the targets. Does not calibrate:
@@ -112,6 +114,10 @@ class MultiSweeper {
 
   /// Pins the scalar-vs-lane engine choice with a short measured probe
   /// (idempotent, thread-safe; scan() triggers it lazily otherwise).
+  /// The probe runs on the current snapshot's table for the first
+  /// fast-path tail (the SHA1 table, or that tail's MD5 context), so
+  /// calibrating builds that table; its gate traffic is not counted in
+  /// filter_stats().
   void calibrate() const;
 
   /// Scans [interval.begin, interval.end) of generator-relative ids on
@@ -126,10 +132,11 @@ class MultiSweeper {
   u128 scan(const keyspace::Interval& interval, std::vector<SweepHit>& hits,
             const std::atomic<bool>* interrupt = nullptr) const;
 
-  /// Prebuilds the fast-path contexts `round` touches, in parallel on
-  /// the pool, and evicts entries the round no longer needs. Purely a
-  /// throughput optimization for phase-structured callers; must not
-  /// run concurrently with scan().
+  /// Prebuilds the fast-path tables `round` touches — the MD5 tails in
+  /// parallel on the pool, or the one SHA1 table — and evicts MD5
+  /// entries the round no longer needs. Purely a throughput
+  /// optimization for phase-structured callers; must not run
+  /// concurrently with scan().
   void prepare(const keyspace::Interval& round, ThreadPool& pool);
 
   /// Marks a unique digest recovered. Returns the request-slot indices
@@ -177,6 +184,14 @@ class MultiSweeper {
   /// Aggregate gate traffic so far (all contexts, all generations).
   SweepFilterStats filter_stats() const;
 
+  /// Fast-path tables built from scratch so far — MD5 per-tail
+  /// contexts plus SHA1 shared tables, over every snapshot, including
+  /// the one calibrate() builds. Clones carried into a new generation
+  /// do not count.
+  std::uint64_t table_builds() const {
+    return table_builds_.load(std::memory_order_relaxed);
+  }
+
   /// Digest hex and recovery state per request slot; used to fill
   /// results incrementally.
   std::size_t slot_count() const;
@@ -199,8 +214,15 @@ class MultiSweeper {
   hash::TargetIndex::Config index_config() const;
   std::shared_ptr<const Snapshot> snapshot() const;
   /// Full snapshot rebuild (state_mu_ held): every dead unique is
-  /// retired from the context indexes, caches start empty.
-  std::shared_ptr<const Snapshot> build_snapshot_locked() const;
+  /// retired from the table indexes, no table is built yet.
+  std::shared_ptr<Snapshot> build_snapshot_locked() const;
+  /// The snapshot's MD5 context for one (key length, tail), or its
+  /// shared SHA1 table, built on first use (single-flight).
+  const hash::Md5MultiContext& md5_context(
+      const Snapshot& snap,
+      const std::pair<std::size_t, std::string>& tail_key) const;
+  const std::shared_ptr<const hash::Sha1TargetTable>& sha1_table(
+      const Snapshot& snap) const;
   /// Publishes a compacted clone of the current snapshot when enough
   /// dead slots accumulated since the last one (state_mu_ held).
   void maybe_compact_locked();
@@ -214,6 +236,7 @@ class MultiSweeper {
   mutable std::once_flag calibrate_once_;
   mutable const hash::simd::ScanKernels* kernels_ = nullptr;
   mutable hash::TargetIndexStats index_stats_;
+  mutable std::atomic<std::uint64_t> table_builds_{0};
 
   mutable std::mutex state_mu_;  ///< guards found/removed state + snapshot
   std::vector<bool> unique_found_;

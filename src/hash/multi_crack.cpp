@@ -59,6 +59,15 @@ std::vector<std::uint32_t> md5_index_words(
   return words;
 }
 
+/// A SHA1 digest minus the feed-forward: the registers after step 79.
+Sha1State<std::uint32_t> unfed_state(const Sha1Digest& t) {
+  return {load_be32(t.bytes.data()) - kSha1Init[0],
+          load_be32(t.bytes.data() + 4) - kSha1Init[1],
+          load_be32(t.bytes.data() + 8) - kSha1Init[2],
+          load_be32(t.bytes.data() + 12) - kSha1Init[3],
+          load_be32(t.bytes.data() + 16) - kSha1Init[4]};
+}
+
 std::vector<std::uint32_t> sha1_index_words(
     const std::vector<Sha1State<std::uint32_t>>& unfed) {
   std::vector<std::uint32_t> words;
@@ -212,42 +221,65 @@ void Md5MultiContext::confirm_hits(std::uint32_t m0,
   if (out.size() == before) index_.note_false_positive();
 }
 
-Sha1MultiContext::Sha1MultiContext(std::vector<Sha1Digest> targets,
-                                   std::string_view tail,
-                                   std::size_t total_len,
-                                   const TargetIndex::Config& index_config)
-    : targets_(std::move(targets)), m_(fixed_sha_words(tail, total_len)) {
+Sha1TargetTable::Sha1TargetTable(std::vector<Sha1Digest> targets,
+                                 const TargetIndex::Config& index_config)
+    : targets_(std::move(targets)) {
   GKS_REQUIRE(!targets_.empty(), "need at least one target digest");
   unfed_.reserve(targets_.size());
-  for (const Sha1Digest& t : targets_) {
-    unfed_.push_back({load_be32(t.bytes.data()) - kSha1Init[0],
-                      load_be32(t.bytes.data() + 4) - kSha1Init[1],
-                      load_be32(t.bytes.data() + 8) - kSha1Init[2],
-                      load_be32(t.bytes.data() + 12) - kSha1Init[3],
-                      load_be32(t.bytes.data() + 16) - kSha1Init[4]});
-  }
+  for (const Sha1Digest& t : targets_) unfed_.push_back(unfed_state(t));
   index_ = TargetIndex(sha1_index_words(unfed_), index_config);
 }
 
-void Sha1MultiContext::add_targets(std::span<const Sha1Digest> more) {
+void Sha1TargetTable::add_targets(std::span<const Sha1Digest> more) {
   if (more.empty()) return;
   const std::size_t begin = targets_.size();
   targets_.insert(targets_.end(), more.begin(), more.end());
   std::vector<std::uint32_t> words;
   words.reserve(more.size());
   for (const Sha1Digest& t : more) {
-    unfed_.push_back({load_be32(t.bytes.data()) - kSha1Init[0],
-                      load_be32(t.bytes.data() + 4) - kSha1Init[1],
-                      load_be32(t.bytes.data() + 8) - kSha1Init[2],
-                      load_be32(t.bytes.data() + 12) - kSha1Init[3],
-                      load_be32(t.bytes.data() + 16) - kSha1Init[4]});
+    unfed_.push_back(unfed_state(t));
     words.push_back(unfed_.back().e);
   }
   index_.add(words, static_cast<std::uint32_t>(begin));
 }
 
-void Sha1MultiContext::retire_slots(std::span<const std::uint32_t> slots) {
+void Sha1TargetTable::retire_slots(std::span<const std::uint32_t> slots) {
   index_.remove(slots);
+}
+
+Sha1MultiContext::Sha1MultiContext(std::vector<Sha1Digest> targets,
+                                   std::string_view tail,
+                                   std::size_t total_len,
+                                   const TargetIndex::Config& index_config)
+    : Sha1MultiContext(std::make_shared<const Sha1TargetTable>(
+                           std::move(targets), index_config),
+                       fixed_sha_words(tail, total_len)) {}
+
+Sha1MultiContext::Sha1MultiContext(
+    std::shared_ptr<const Sha1TargetTable> table,
+    const std::array<std::uint32_t, 16>& message_words)
+    : table_(std::move(table)), m_(message_words) {
+  GKS_REQUIRE(table_ != nullptr, "need a target table");
+}
+
+Sha1MultiContext Sha1MultiContext::view(
+    std::shared_ptr<const Sha1TargetTable> table, std::string_view tail,
+    std::size_t total_len) {
+  return Sha1MultiContext(std::move(table), fixed_sha_words(tail, total_len));
+}
+
+void Sha1MultiContext::add_targets(std::span<const Sha1Digest> more) {
+  if (more.empty()) return;
+  auto next = std::make_shared<Sha1TargetTable>(*table_);
+  next->add_targets(more);
+  table_ = std::move(next);
+}
+
+void Sha1MultiContext::retire_slots(std::span<const std::uint32_t> slots) {
+  if (slots.empty()) return;
+  auto next = std::make_shared<Sha1TargetTable>(*table_);
+  next->retire_slots(slots);
+  table_ = std::move(next);
 }
 
 bool Sha1MultiContext::confirm(std::array<std::uint32_t, 16> ring,
@@ -295,12 +327,13 @@ std::size_t Sha1MultiContext::test(std::uint32_t w0) const {
   for (unsigned t = 16; t < 76; ++t) advance(t, sha1_expand(ring, t));
 
   const std::uint32_t check = rotl(a, 30);
-  if (!index_.may_match(check)) return npos;
-  const auto slots = index_.matches(check);
+  const TargetIndex& index = table_->index();
+  if (!index.may_match(check)) return npos;
+  const auto slots = index.matches(check);
   for (const std::uint32_t slot : slots) {
-    if (confirm(ring, a, b, c, d, e, unfed_[slot])) return slot;
+    if (confirm(ring, a, b, c, d, e, table_->unfed(slot))) return slot;
   }
-  if (!slots.empty()) index_.note_false_positive();
+  if (!slots.empty()) index.note_false_positive();
   return npos;
 }
 
@@ -323,8 +356,7 @@ void Sha1MultiContext::test_hits(std::uint32_t w0, std::uint64_t offset,
   for (unsigned t = 0; t < 16; ++t) advance(t, ring[t]);
   for (unsigned t = 16; t < 76; ++t) advance(t, sha1_expand(ring, t));
 
-  const std::uint32_t check = rotl(a, 30);
-  if (!index_.may_match(check)) return;
+  if (!table_->index().may_match(rotl(a, 30))) return;
   confirm_hits(ring, a, b, c, d, e, offset, out);
 }
 
@@ -333,16 +365,16 @@ void Sha1MultiContext::confirm_hits(const std::array<std::uint32_t, 16>& ring,
                                     std::uint32_t c, std::uint32_t d,
                                     std::uint32_t e, std::uint64_t offset,
                                     std::vector<MultiHit>& out) const {
-  const std::uint32_t check = rotl(a, 30);
-  const auto slots = index_.matches(check);
+  const TargetIndex& index = table_->index();
+  const auto slots = index.matches(rotl(a, 30));
   if (slots.empty()) return;
   const std::size_t before = out.size();
   for (const std::uint32_t slot : slots) {
-    if (confirm(ring, a, b, c, d, e, unfed_[slot])) {
+    if (confirm(ring, a, b, c, d, e, table_->unfed(slot))) {
       out.push_back({offset, slot});
     }
   }
-  if (out.size() == before) index_.note_false_positive();
+  if (out.size() == before) index.note_false_positive();
 }
 
 void md5_multi_scan_prefixes(const Md5MultiContext& ctx,

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -99,16 +100,57 @@ class Md5MultiContext {
   TargetIndex index_;
 };
 
+/// The tail-independent half of SHA1 multi-target cracking: the
+/// targets, their feed-forward-reverted states and the TargetIndex over
+/// the reverted `e` words. Unlike MD5's 15-step reversal, undoing the
+/// feed-forward never touches the message words, so one table serves
+/// every tail of a sweep. Contexts share it as shared_ptr<const>; the
+/// mutators below are only for a table nobody else holds yet (a fresh
+/// copy), which is how Sha1MultiContext::add_targets/retire_slots keep a
+/// shared table immutable.
+class Sha1TargetTable {
+ public:
+  explicit Sha1TargetTable(std::vector<Sha1Digest> targets,
+                           const TargetIndex::Config& index_config = {});
+
+  /// Same slot-stability contract as Md5MultiContext: appended targets
+  /// take slots target_count()..; retired slots keep their holes.
+  void add_targets(std::span<const Sha1Digest> more);
+  void retire_slots(std::span<const std::uint32_t> slots);
+
+  std::size_t target_count() const { return unfed_.size(); }
+  const std::vector<Sha1Digest>& targets() const { return targets_; }
+  const Sha1State<std::uint32_t>& unfed(std::uint32_t slot) const {
+    return unfed_[slot];
+  }
+  const TargetIndex& index() const { return index_; }
+
+ private:
+  std::vector<Sha1Digest> targets_;
+  std::vector<Sha1State<std::uint32_t>> unfed_;
+  TargetIndex index_;
+};
+
 /// SHA1 counterpart: steps 0..75 run once, the early-exit comparison
 /// value is looked up in the index over every target's
-/// feed-forward-reverted `e` word.
+/// feed-forward-reverted `e` word. A context is a per-tail view — the
+/// 16 fixed message words — over a Sha1TargetTable that may be shared
+/// with any number of other tails' contexts.
 class Sha1MultiContext {
  public:
+  /// Builds a private table over `targets`.
   Sha1MultiContext(std::vector<Sha1Digest> targets, std::string_view tail,
                    std::size_t total_len,
                    const TargetIndex::Config& index_config = {});
+  /// A view of an existing table: only the message words are computed,
+  /// so creating one per scanned chunk is cheap.
+  static Sha1MultiContext view(std::shared_ptr<const Sha1TargetTable> table,
+                               std::string_view tail, std::size_t total_len);
 
   /// Live mutation — same slot-stability contract as Md5MultiContext.
+  /// Copy-on-write: the table is copied before it changes, so other
+  /// holders of the old table (copies of this context, other tails'
+  /// views) keep seeing exactly the targets they had.
   void add_targets(std::span<const Sha1Digest> more);
   void retire_slots(std::span<const std::uint32_t> slots);
 
@@ -127,21 +169,25 @@ class Sha1MultiContext {
                     std::uint32_t d, std::uint32_t e, std::uint64_t offset,
                     std::vector<MultiHit>& out) const;
 
-  std::size_t target_count() const { return unfed_.size(); }
-  const std::vector<Sha1Digest>& targets() const { return targets_; }
+  std::size_t target_count() const { return table_->target_count(); }
+  const std::vector<Sha1Digest>& targets() const { return table_->targets(); }
+  const std::shared_ptr<const Sha1TargetTable>& table() const {
+    return table_;
+  }
 
   const std::array<std::uint32_t, 16>& message_words() const { return m_; }
-  const TargetIndex& index() const { return index_; }
+  const TargetIndex& index() const { return table_->index(); }
 
  private:
   bool confirm(std::array<std::uint32_t, 16> ring, std::uint32_t a,
                std::uint32_t b, std::uint32_t c, std::uint32_t d,
                std::uint32_t e, const Sha1State<std::uint32_t>& unfed) const;
 
-  std::vector<Sha1Digest> targets_;
+  Sha1MultiContext(std::shared_ptr<const Sha1TargetTable> table,
+                   const std::array<std::uint32_t, 16>& message_words);
+
+  std::shared_ptr<const Sha1TargetTable> table_;
   std::array<std::uint32_t, 16> m_{};
-  std::vector<Sha1State<std::uint32_t>> unfed_;
-  TargetIndex index_;
 };
 
 /// Scans `count` consecutive prefix-major candidates from the

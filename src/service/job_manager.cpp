@@ -7,6 +7,7 @@
 
 #include "core/multi_crack.h"
 #include "obs/metrics.h"
+#include "support/cpu_spread.h"
 #include "support/error.h"
 
 namespace gks::service {
@@ -58,7 +59,12 @@ JobManager::JobManager(JobServiceConfig config) : config_(std::move(config)) {
     if (n == 0) n = std::max(1u, std::thread::hardware_concurrency());
     workers_.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      workers_.emplace_back([this] { worker_loop(); });
+      workers_.emplace_back([this] {
+        // Otherwise every worker starts on the constructing thread's
+        // CPU, and stays there where the kernel does not balance.
+        spread_current_thread();
+        worker_loop();
+      });
     }
   }
 }

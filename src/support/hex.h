@@ -18,17 +18,18 @@ std::string to_hex(std::span<const std::uint8_t> bytes);
 /// Throws InvalidArgument on odd length or non-hex characters.
 std::vector<std::uint8_t> from_hex(std::string_view hex);
 
-/// Fixed-size decode for digest parsing; throws if the string does not
-/// decode to exactly N bytes.
+/// Decodes a hex string into exactly out.size() bytes. Throws
+/// InvalidArgument on odd length, a length that decodes to any other
+/// byte count, or non-hex characters.
+void from_hex_into(std::string_view hex, std::span<std::uint8_t> out);
+
+/// Fixed-size decode for digest parsing, straight into the array (no
+/// heap buffer); throws if the string does not decode to exactly N
+/// bytes.
 template <std::size_t N>
 std::array<std::uint8_t, N> from_hex_fixed(std::string_view hex) {
-  const std::vector<std::uint8_t> v = from_hex(hex);
-  if (v.size() != N) {
-    throw InvalidArgument("hex string decodes to " + std::to_string(v.size()) +
-                          " bytes, expected " + std::to_string(N));
-  }
   std::array<std::uint8_t, N> out{};
-  for (std::size_t i = 0; i < N; ++i) out[i] = v[i];
+  from_hex_into(hex, out);
   return out;
 }
 

@@ -244,7 +244,24 @@ class Parser {
     }
   }
 
+  /// Counts one open array/object for its lifetime; past kMaxDepth the
+  /// parse fails instead of recursing on — hostile input such as 100k
+  /// nested '[' would otherwise exhaust the stack.
+  class DepthGuard {
+   public:
+    explicit DepthGuard(std::size_t& depth) : depth_(depth) {
+      GKS_REQUIRE(++depth_ <= kMaxDepth, "JSON nesting too deep");
+    }
+    ~DepthGuard() { --depth_; }
+    DepthGuard(const DepthGuard&) = delete;
+    DepthGuard& operator=(const DepthGuard&) = delete;
+
+   private:
+    std::size_t& depth_;
+  };
+
   Value parse_object() {
+    const DepthGuard guard(depth_);
     expect('{');
     Value v;
     v.type_ = Value::Type::kObject;
@@ -270,6 +287,7 @@ class Parser {
   }
 
   Value parse_array() {
+    const DepthGuard guard(depth_);
     expect('[');
     Value v;
     v.type_ = Value::Type::kArray;
@@ -370,6 +388,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< arrays/objects currently open
 };
 
 Value parse(std::string_view text) { return Parser(text).run(); }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -92,8 +93,13 @@ class Value {
   std::vector<std::pair<std::string, Value>> members_;
 };
 
-/// Parses one JSON document; throws InvalidArgument on malformed input
-/// or trailing garbage.
+/// Deepest array/object nesting parse() accepts. The repo's documents
+/// nest a few levels; the cap keeps a hostile peer's frame from
+/// recursing the parser off the stack.
+inline constexpr std::size_t kMaxDepth = 256;
+
+/// Parses one JSON document; throws InvalidArgument on malformed input,
+/// trailing garbage or nesting deeper than kMaxDepth.
 Value parse(std::string_view text);
 
 }  // namespace gks::json

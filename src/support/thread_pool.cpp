@@ -2,8 +2,27 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 
 namespace gks {
+namespace {
+
+/// Waits for every task, then rethrows the first failure. The tasks
+/// reference the caller's stack, so none may still run after the call
+/// returns — not even when an earlier one threw.
+void wait_all(std::vector<std::future<void>>& futures) {
+  std::exception_ptr first;
+  for (auto& f : futures) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!first) first = std::current_exception();
+    }
+  }
+  if (first) std::rethrow_exception(first);
+}
+
+}  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
@@ -48,7 +67,7 @@ void ThreadPool::parallel_for(std::size_t n,
   for (std::size_t i = 0; i < n; ++i) {
     futures.push_back(submit([&fn, i] { fn(i); }));
   }
-  for (auto& f : futures) f.get();
+  wait_all(futures);
 }
 
 void ThreadPool::parallel_chunks(
@@ -74,7 +93,7 @@ void ThreadPool::parallel_chunks(
       }
     }));
   }
-  for (auto& f : futures) f.get();
+  wait_all(futures);
 }
 
 }  // namespace gks

@@ -7,12 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "hash/md5.h"
+#include "hash/sha1.h"
 #include "keyspace/codec.h"
 #include "keyspace/space.h"
 #include "support/error.h"
@@ -300,6 +302,163 @@ TEST(MultiSweep, ConcurrentAddDuringScanIsNeverMissed) {
   EXPECT_EQ(result.targets[0].key, "zz");
   EXPECT_TRUE(result.targets[1].found);
   EXPECT_EQ(result.targets[1].key, late_key);
+}
+
+std::string sha1_hex(const std::string& key) {
+  return hash::Sha1::digest(key).to_hex();
+}
+
+TEST(MultiSweep, Sha1SweepAcrossTailsSurvivesAddRemoveAndCompaction) {
+  // Ten 10^4-id tails of a 5-char space share one SHA1 table. The 700
+  // targets in the first tail drive compaction once recovered; one key
+  // per later tail is planted up front, one is added mid-sweep, one is
+  // removed mid-sweep. Every surviving key is recovered exactly once.
+  MultiCrackRequest request;
+  request.algorithm = hash::Algorithm::kSha1;
+  request.charset = keyspace::Charset("abcdefghij");
+  request.min_length = 5;
+  request.max_length = 5;
+  std::vector<std::string> keys;
+  for (u128 id(0); id < u128(700); ++id) keys.push_back(key_at(request, id));
+  for (std::uint64_t tail = 1; tail < 10; ++tail) {
+    keys.push_back(key_at(request, u128(tail * 10000 + tail * 37)));
+  }
+  for (const auto& k : keys) request.target_hexes.push_back(sha1_hex(k));
+  const std::string added_key = key_at(request, u128(8 * 10000 + 4321));
+  const std::string removed_key = keys.back();  // last tail's plant
+
+  MultiSweeper sweeper(request);
+  std::vector<std::size_t> resolved_per_slot(keys.size() + 1, 0);
+  std::vector<SweepHit> hits;
+  const u128 space = sweeper.space_size();
+  ASSERT_EQ(space, u128(100000));
+  bool mutated = false;
+  u128 pos(0);
+  while (pos < space) {
+    if (!mutated && pos >= u128(20000)) {
+      // Past compaction (the first tail's 700 are found), before the
+      // tails the mutations touch.
+      EXPECT_GT(sweeper.generation(), 0u);
+      EXPECT_EQ(sweeper.add_targets({sha1_hex(added_key)}).attached, 1u);
+      EXPECT_EQ(sweeper.remove_targets({sha1_hex(removed_key)}), 1u);
+      mutated = true;
+    }
+    const u128 stop = std::min(pos + u128(3000), space);
+    hits.clear();
+    pos += sweeper.scan(keyspace::Interval(pos, stop), hits);
+    for (const SweepHit& h : hits) {
+      for (const std::size_t slot : sweeper.mark_found(h.unique_index, h.key)) {
+        ++resolved_per_slot[slot];
+      }
+    }
+  }
+
+  MultiCrackResult result;
+  sweeper.fill_results(result);
+  ASSERT_EQ(result.targets.size(), keys.size() + 1);
+  for (std::size_t slot = 0; slot < keys.size(); ++slot) {
+    const bool removed = keys[slot] == removed_key;
+    EXPECT_EQ(resolved_per_slot[slot], removed ? 0u : 1u) << keys[slot];
+    EXPECT_EQ(result.targets[slot].found, !removed) << keys[slot];
+    if (!removed) {
+      EXPECT_EQ(result.targets[slot].key, keys[slot]);
+    }
+  }
+  EXPECT_EQ(resolved_per_slot.back(), 1u);
+  EXPECT_EQ(result.targets.back().key, added_key);
+  EXPECT_TRUE(sweeper.all_found());
+  // The add published another generation on top of the compaction.
+  EXPECT_GE(sweeper.generation(), 2u);
+}
+
+/// Eight threads scan the same cold tail of a fresh sweeper at once;
+/// the snapshot's table for it must be built exactly once, with every
+/// thread seeing the same hits.
+void expect_single_flight_build(MultiCrackRequest request,
+                                std::size_t planted) {
+  // Without lane scanning calibrate() has nothing to time and builds no
+  // table, so the threads meet at the cold one.
+  request.lane_scanning = false;
+  MultiSweeper sweeper(request);
+  sweeper.calibrate();
+  ASSERT_EQ(sweeper.table_builds(), 0u);
+
+  constexpr int kThreads = 8;
+  const keyspace::Interval tail(u128(0), u128(10000));
+  std::atomic<int> ready{0};
+  std::vector<std::vector<SweepHit>> hits(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      EXPECT_EQ(sweeper.scan(tail, hits[t]), tail.size());
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  EXPECT_EQ(sweeper.table_builds(), 1u);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(hits[t].size(), planted) << "thread " << t;
+  }
+}
+
+MultiCrackRequest planted_request(hash::Algorithm algorithm) {
+  // 4096 targets make each build take long enough for real overlap.
+  MultiCrackRequest request;
+  request.algorithm = algorithm;
+  request.charset = keyspace::Charset("abcdefghij");
+  request.min_length = 5;
+  request.max_length = 5;
+  for (u128 id(0); id < u128(4096); ++id) {
+    const std::string key = key_at(request, id * u128(24));
+    request.target_hexes.push_back(algorithm == hash::Algorithm::kMd5
+                                       ? md5_hex(key)
+                                       : sha1_hex(key));
+  }
+  return request;
+}
+
+TEST(MultiSweep, ColdMd5TailIsBuiltOnceUnderConcurrentScans) {
+  // Ids 0, 24, ..., 9984 fall in the first tail: 417 of the targets.
+  expect_single_flight_build(planted_request(hash::Algorithm::kMd5), 417);
+}
+
+TEST(MultiSweep, ColdSha1TableIsBuiltOnceUnderConcurrentScans) {
+  expect_single_flight_build(planted_request(hash::Algorithm::kSha1), 417);
+}
+
+TEST(MultiSweep, Sha1TailsShareOneTablePerSnapshot) {
+  // A whole-space sweep over ten tails builds the SHA1 table once; MD5
+  // builds one context per tail. Calibration builds the table the
+  // first tail then scans with, not a private copy.
+  auto sha1 = planted_request(hash::Algorithm::kSha1);
+  MultiSweeper sha1_sweeper(sha1);
+  sha1_sweeper.calibrate();
+  EXPECT_EQ(sha1_sweeper.table_builds(), 1u);
+  std::vector<SweepHit> hits;
+  sha1_sweeper.scan(sha1_sweeper.space_interval(), hits);
+  EXPECT_EQ(hits.size(), 4096u);
+  EXPECT_EQ(sha1_sweeper.table_builds(), 1u);
+
+  auto md5 = planted_request(hash::Algorithm::kMd5);
+  MultiSweeper md5_sweeper(md5);
+  md5_sweeper.calibrate();
+  EXPECT_EQ(md5_sweeper.table_builds(), 1u);
+  hits.clear();
+  md5_sweeper.scan(md5_sweeper.space_interval(), hits);
+  EXPECT_EQ(hits.size(), 4096u);
+  EXPECT_EQ(md5_sweeper.table_builds(), 10u);
+}
+
+TEST(MultiSweep, CalibrationTrafficIsNotCountedAsGateTraffic) {
+  // The probe scans thousands of candidates through the gate; none of
+  // that is the job's traffic.
+  auto request = planted_request(hash::Algorithm::kSha1);
+  MultiSweeper sweeper(request);
+  sweeper.calibrate();
+  EXPECT_EQ(sweeper.filter_stats().gate_hits, 0u);
+  EXPECT_EQ(sweeper.filter_stats().false_positives, 0u);
 }
 
 }  // namespace

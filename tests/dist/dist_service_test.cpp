@@ -90,9 +90,13 @@ TEST(DistService, TcpWorkersCrackPlantedKey) {
   wcfg.threads = 2;
   std::vector<std::unique_ptr<WorkerDaemon>> workers;
   std::vector<std::thread> threads;
+  // Every daemon exists before any thread starts: a push_back after a
+  // thread is running could reallocate the vector it indexes.
   for (int i = 0; i < 2; ++i) {
     wcfg.name = "w" + std::to_string(i);
     workers.push_back(std::make_unique<WorkerDaemon>(transport, wcfg));
+  }
+  for (int i = 0; i < 2; ++i) {
     threads.emplace_back(
         [&, i] { workers[i]->run(coordinator.address()); });
   }
@@ -419,6 +423,39 @@ TEST(DistService, GarbageClientDoesNotDisturbTheCoordinator) {
   wt.join();
   coordinator.stop();
   EXPECT_GE(coordinator.stats().protocol_errors, 1u);
+}
+
+// A frame nesting 100k '[' (about 100 KB, well under the frame cap)
+// used to overflow the JSON parser's stack and kill the coordinator.
+// Sent before hello it must be one protocol error, answered with an
+// error reply, and the coordinator keeps serving.
+TEST(DistService, DeeplyNestedFrameBeforeHelloIsAProtocolError) {
+  service::JobManager manager(coordinator_only());
+  manager.submit(planted_job("alpha", "abc", 1, 3));
+
+  TcpTransport transport;
+  Coordinator coordinator(manager, transport, fast_coordinator());
+  coordinator.start("127.0.0.1:0");
+
+  {
+    auto conn = transport.connect(coordinator.address(), 5.0);
+    conn->send(std::string(100000, '['));
+    const auto reply = conn->recv(5.0);
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_NE(reply->find("\"error\""), std::string::npos);
+  }
+  EXPECT_EQ(coordinator.stats().protocol_errors, 1u);
+
+  WorkerConfig wcfg;
+  wcfg.name = "w";
+  wcfg.threads = 2;
+  WorkerDaemon worker(transport, wcfg);
+  std::thread wt([&] { worker.run(coordinator.address()); });
+  ASSERT_TRUE(manager.wait(1, 60.0));
+  worker.stop();
+  wt.join();
+  coordinator.stop();
+  EXPECT_EQ(manager.status(1).found.size(), 1u);
 }
 
 }  // namespace

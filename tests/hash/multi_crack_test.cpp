@@ -285,6 +285,51 @@ TEST(Sha1Multi, AddAndRetireTargetsLive) {
   EXPECT_EQ(multi.test(pack_sha_word0(key_b.data(), 8)), 1u);
 }
 
+TEST(Sha1Multi, MutationCopiesASharedTableFirst) {
+  // Copies of a context and views over the same table share one
+  // Sha1TargetTable; mutating one holder must leave every other
+  // holder's hits exactly as they were.
+  const std::string key_a = "aaaarest";
+  const std::string key_b = "bbbbrest";
+  const std::string key_c = "ccccrest";
+  const Sha1MultiContext original({Sha1::digest(key_a), Sha1::digest(key_b)},
+                                  "rest", 8);
+  const auto shared = original.table();
+  const auto view = Sha1MultiContext::view(shared, "rest", 8);
+  EXPECT_EQ(view.table(), shared);
+
+  Sha1MultiContext retired = original;
+  EXPECT_EQ(retired.table(), shared);
+  retired.retire_slots(std::vector<std::uint32_t>{0});
+  EXPECT_NE(retired.table(), shared);
+  EXPECT_EQ(retired.test(pack_sha_word0(key_a.data(), 8)),
+            Sha1MultiContext::npos);
+
+  Sha1MultiContext grown = original;
+  grown.add_targets(std::vector<Sha1Digest>{Sha1::digest(key_c)});
+  EXPECT_NE(grown.table(), shared);
+  EXPECT_EQ(grown.test(pack_sha_word0(key_c.data(), 8)), 2u);
+
+  // The original table is untouched: both keys still hit, the added
+  // one does not, for the original and for the view.
+  for (const Sha1MultiContext* holder : {&original, &view}) {
+    EXPECT_EQ(holder->target_count(), 2u);
+    EXPECT_EQ(holder->test(pack_sha_word0(key_a.data(), 8)), 0u);
+    EXPECT_EQ(holder->test(pack_sha_word0(key_b.data(), 8)), 1u);
+    EXPECT_EQ(holder->test(pack_sha_word0(key_c.data(), 8)),
+              Sha1MultiContext::npos);
+  }
+  EXPECT_EQ(shared->index().size(), 2u);
+}
+
+TEST(Sha1Multi, ViewRejectsANullTable) {
+  EXPECT_THROW(Sha1MultiContext::view(nullptr, "rest", 8), InvalidArgument);
+  const auto table = std::make_shared<const Sha1TargetTable>(
+      std::vector<Sha1Digest>{Sha1::digest("aaaarest")});
+  EXPECT_THROW(Sha1MultiContext::view(table, "waytoolongtail", 8),
+               InvalidArgument);
+}
+
 TEST(Sha1Multi, TestHitsReportsEveryDuplicateSlot) {
   const std::string key = "bbbbrest";
   const auto target = Sha1::digest(key);

@@ -226,6 +226,61 @@ TEST(SimdMultiScanDifferential, Sha1EveryWidthMatchesScalar) {
   }
 }
 
+TEST(SimdMultiScanDifferential, SharedSha1TableViewsMatchFreshContexts) {
+  // One Sha1TargetTable viewed through several tails must give exactly
+  // the hits of a context built from scratch for each tail — on the
+  // scalar engine and every lane width. Targets are planted in each of
+  // the tails (so every tail has real hits) plus a decoy and a retired
+  // slot, under every gate geometry.
+  const std::string charset = "abcdefgh";
+  const std::size_t key_len = 7;
+  const std::vector<std::string> tails = {"aaa", "bch", "hhg", "dae"};
+  PrefixWord0Iterator start({charset.data(), charset.size()}, 4, key_len,
+                            true);
+  const std::uint64_t count = start.combinations();
+
+  std::vector<Sha1Digest> targets;
+  for (std::size_t t = 0; t < tails.size(); ++t) {
+    auto it = start;
+    for (std::uint64_t i = 0; i < count; ++i, it.advance()) {
+      if ((i * 7 + t) % 331 != 0) continue;
+      targets.push_back(Sha1::digest(
+          std::string(it.prefix().begin(), it.prefix().end()) + tails[t]));
+    }
+  }
+  Sha1Digest decoy = targets.front();
+  decoy.bytes[0] ^= 0x5a;
+  targets.push_back(decoy);
+  const std::vector<std::uint32_t> retired = {1};
+
+  for (const auto& [gate, cfg] : gate_configs()) {
+    auto table = std::make_shared<Sha1TargetTable>(targets, cfg);
+    table->retire_slots(retired);
+    const std::shared_ptr<const Sha1TargetTable> shared = std::move(table);
+
+    for (const std::string& tail : tails) {
+      Sha1MultiContext fresh(targets, tail, key_len, cfg);
+      fresh.retire_slots(retired);
+      const auto view = Sha1MultiContext::view(shared, tail, key_len);
+      const std::string label = gate + " tail=" + tail;
+
+      std::vector<MultiHit> want, got;
+      auto fresh_it = start;
+      auto view_it = start;
+      sha1_multi_scan_prefixes(fresh, fresh_it, count, want);
+      sha1_multi_scan_prefixes(view, view_it, count, got);
+      EXPECT_FALSE(want.empty()) << label;
+      EXPECT_EQ(want, got) << label << " scalar";
+      for (const ScanKernels& k : available_kernels()) {
+        got.clear();
+        auto lane_it = start;
+        k.sha1_multi_scan(view, lane_it, count, got);
+        EXPECT_EQ(want, got) << label << " w" << k.width;
+      }
+    }
+  }
+}
+
 TEST(SimdMultiScanDifferential, FullSpaceSweepEveryWidth) {
   // Exhaustive sweep of a small space with every candidate planted as a
   // target: all widths must report the full hit list in order.

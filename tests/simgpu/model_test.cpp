@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "support/error.h"
 
 namespace gks::simgpu {
@@ -14,6 +16,11 @@ struct TheoreticalCase {
   double expected_mkeys;
   double tolerance;
 };
+
+// Prints a case as its device name, which gtest_discover_tests puts in the
+// test name; the default dumps the struct's pointer bytes, which change
+// from run to run.
+void PrintTo(const TheoreticalCase& v, std::ostream* os) { *os << v.device; }
 
 class PaperTheoretical : public ::testing::TestWithParam<TheoreticalCase> {};
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+#include <vector>
+
 #include "support/error.h"
 
 namespace gks {
@@ -40,6 +44,58 @@ TEST(Hex, FixedSizeDecode) {
   EXPECT_EQ(a[0], 0xde);
   EXPECT_EQ(a[3], 0xef);
   EXPECT_THROW(from_hex_fixed<3>("deadbeef"), InvalidArgument);
+}
+
+TEST(Hex, EveryByteValueDecodesExactlyWhenItIsAHexDigit) {
+  for (int v = 0; v < 256; ++v) {
+    const char c = static_cast<char>(v);
+    const bool digit = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') ||
+                       (c >= 'A' && c <= 'F');
+    const int value = c <= '9'   ? c - '0'
+                      : c <= 'F' ? c - 'A' + 10
+                                 : c - 'a' + 10;
+    for (const bool high : {true, false}) {
+      const std::string hex = high ? std::string{c, '0'} : std::string{'0', c};
+      SCOPED_TRACE("byte " + std::to_string(v) + (high ? " high" : " low"));
+      if (!digit) {
+        EXPECT_THROW(from_hex(hex), InvalidArgument);
+        EXPECT_THROW(from_hex_fixed<1>(hex), InvalidArgument);
+        continue;
+      }
+      const auto expected =
+          static_cast<std::uint8_t>(high ? value << 4 : value);
+      EXPECT_EQ(from_hex(hex), std::vector<std::uint8_t>{expected});
+      EXPECT_EQ(from_hex_fixed<1>(hex)[0], expected);
+    }
+  }
+}
+
+TEST(Hex, FixedSizeDecodeRejectsOddLengthAndWrongSize) {
+  EXPECT_THROW(from_hex_fixed<2>("abc"), InvalidArgument);
+  EXPECT_THROW(from_hex_fixed<2>("abcde"), InvalidArgument);
+  EXPECT_THROW(from_hex_fixed<2>(""), InvalidArgument);
+  EXPECT_THROW(from_hex_fixed<2>("ab"), InvalidArgument);
+  EXPECT_THROW(from_hex_fixed<2>("abcdef"), InvalidArgument);
+  EXPECT_THROW(from_hex_fixed<20>(std::string(32, 'a')), InvalidArgument);
+  // A bad character anywhere in a right-sized string is caught too.
+  EXPECT_THROW(from_hex_fixed<2>("abc-"), InvalidArgument);
+  EXPECT_THROW(from_hex_fixed<2>(std::string("\0bcd", 4)), InvalidArgument);
+}
+
+TEST(Hex, FixedSizeRoundTrip) {
+  std::array<std::uint8_t, 20> bytes{};
+  for (int trial = 0; trial < 64; ++trial) {
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+      bytes[i] = static_cast<std::uint8_t>(trial * 37 + i * 101);
+    }
+    const std::string hex = to_hex(bytes);
+    EXPECT_EQ(from_hex_fixed<20>(hex), bytes);
+    std::string upper = hex;
+    for (char& c : upper) {
+      if (c >= 'a' && c <= 'f') c = static_cast<char>(c - 'a' + 'A');
+    }
+    EXPECT_EQ(from_hex_fixed<20>(upper), bytes);
+  }
 }
 
 }  // namespace

@@ -94,5 +94,31 @@ TEST(JsonParse, WrongTypeAccessThrows) {
   EXPECT_THROW(v.as_array(), InvalidArgument);
 }
 
+TEST(JsonParse, RejectsNestingPastTheDepthCap) {
+  // 100k nested '[' is ~100 KB — far below the frame cap — and used to
+  // recurse the parser off the stack.
+  EXPECT_THROW(parse(std::string(100000, '[')), Error);
+  EXPECT_THROW(parse(std::string(100000, '[') + std::string(100000, ']')),
+               Error);
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"a\":";
+  EXPECT_THROW(parse(objects), Error);
+
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  const Value deepest = parse(nested(kMaxDepth));
+  EXPECT_TRUE(deepest.is_array());
+  EXPECT_THROW(parse(nested(kMaxDepth + 1)), InvalidArgument);
+  // The cap counts open scopes, not total ones: siblings do not add up.
+  std::string wide = "[";
+  for (std::size_t i = 0; i < 2 * kMaxDepth; ++i) {
+    if (i > 0) wide += ',';
+    wide += nested(kMaxDepth - 1);
+  }
+  wide += "]";
+  EXPECT_EQ(parse(wide).as_array().size(), 2 * kMaxDepth);
+}
+
 }  // namespace
 }  // namespace gks::json

@@ -188,6 +188,29 @@ TEST(ThreadPool, ParallelChunksPropagatesException) {
       std::runtime_error);
 }
 
+TEST(ThreadPool, FailedTaskStillWaitsForTheOthers) {
+  // The tasks reference the caller's stack: a throw in one must not
+  // return control while another is still running.
+  std::atomic<int> finished{0};
+  ThreadPool pool(2);
+  const auto slow_unless_first = [&](std::uint64_t first) {
+    if (first == 0) throw std::runtime_error("x");
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    finished.fetch_add(1);
+  };
+  EXPECT_THROW(
+      pool.parallel_for(2, [&](std::size_t i) { slow_unless_first(i); }),
+      std::runtime_error);
+  EXPECT_EQ(finished.load(), 1);
+  EXPECT_THROW(pool.parallel_chunks(2, 1,
+                                    [&](std::size_t, std::uint64_t begin,
+                                        std::uint64_t) {
+                                      slow_unless_first(begin);
+                                    }),
+               std::runtime_error);
+  EXPECT_EQ(finished.load(), 2);
+}
+
 TEST(ThreadPool, SingleThreadPoolIsSequentialAndComplete) {
   ThreadPool pool(1);
   std::vector<int> order;
